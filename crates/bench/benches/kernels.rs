@@ -3,37 +3,33 @@
 //!
 //! * **scalar** — the row path's shape: one boxed [`Accumulator::iter`]
 //!   call per element, each value wrapped in a [`Value`];
-//! * **multi_lane** — [`Kernel::fold_i64`] over 2048-element morsel
-//!   slabs, the fixed-trip loop the autovectorizer unrolls;
-//! * **multi_lane_masked** — [`Kernel::fold_i64_masked`] with an all-set
-//!   validity word per 64 elements, the price of the word-at-a-time
-//!   null-handling path when nothing is actually null;
-//! * **rle_run** — [`Kernel::fold_repeat_i64`], one `n × value` fold per
-//!   64-element run: the run-length-compressed scan's inner step.
+//! * **morsel** — [`Kernel::update_i64`] over 2048-element morsels with
+//!   [`Validity::All`], the branch-free loop the morsel scan runs;
+//! * **morsel_masked** — the same update with an all-set validity word
+//!   per 64 elements, the price of the word-at-a-time null-handling path
+//!   when nothing is actually null.
 //!
-//! The first two bracket the multi-lane speedup claimed in DESIGN.md
-//! "Vectorized kernels"; the last shows why the RLE scan wins on sorted
-//! piecewise-constant columns (it does ~1/64th of the work).
+//! The first two bracket the kernel speedup claimed in DESIGN.md
+//! "Vectorized kernels".
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dc_aggregate::{builtin, Kernel, KernelCell};
+use dc_aggregate::{builtin, Kernel, KernelCell, Validity};
 use dc_relation::Value;
 
 const N: usize = 1_000_000;
 const MORSEL: usize = 2048;
-const RUN: usize = 64;
 
-/// Piecewise-constant data: `RUN` equal elements per run, so the same
-/// slab serves the element-wise and run-folding variants.
 fn data() -> Vec<i64> {
-    (0..N).map(|i| ((i / RUN) % 1009) as i64).collect()
+    (0..N).map(|i| ((i / 64) % 1009) as i64).collect()
 }
 
-fn bench_fold_paths(c: &mut Criterion) {
+fn bench_update_paths(c: &mut Criterion) {
     let vals = data();
     let boxed: Vec<Value> = vals.iter().map(|&v| Value::Int(v)).collect();
     let all_set: Vec<u64> = vec![!0u64; MORSEL / 64];
-    let mut group = c.benchmark_group("kernel_fold_1m");
+    // Every row of a morsel lands in the one cell.
+    let slots: Vec<u32> = vec![0; MORSEL];
+    let mut group = c.benchmark_group("kernel_update_1m");
     group.sample_size(20);
 
     group.bench_function("scalar", |b| {
@@ -47,38 +43,30 @@ fn bench_fold_paths(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("multi_lane", |b| {
-        b.iter(|| {
-            let mut cell = KernelCell::default();
-            for chunk in vals.chunks(MORSEL) {
-                Kernel::Sum.fold_i64(&mut cell, chunk);
-            }
-            std::hint::black_box(cell)
+    for (name, validity) in [
+        ("morsel", Validity::All),
+        ("morsel_masked", Validity::Words(&all_set)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut cells = [KernelCell::default()];
+                for chunk in vals.chunks(MORSEL) {
+                    Kernel::Sum.update_i64(
+                        &mut cells,
+                        1,
+                        0,
+                        &slots[..chunk.len()],
+                        chunk,
+                        validity,
+                    );
+                }
+                std::hint::black_box(cells)
+            });
         });
-    });
-
-    group.bench_function("multi_lane_masked", |b| {
-        b.iter(|| {
-            let mut cell = KernelCell::default();
-            for chunk in vals.chunks(MORSEL) {
-                Kernel::Sum.fold_i64_masked(&mut cell, chunk, &all_set, 0, chunk.len());
-            }
-            std::hint::black_box(cell)
-        });
-    });
-
-    group.bench_function("rle_run", |b| {
-        b.iter(|| {
-            let mut cell = KernelCell::default();
-            for run in vals.chunks(RUN) {
-                Kernel::Sum.fold_repeat_i64(&mut cell, run[0], run.len() as i64);
-            }
-            std::hint::black_box(cell)
-        });
-    });
+    }
 
     group.finish();
 }
 
-criterion_group!(benches, bench_fold_paths);
+criterion_group!(benches, bench_update_paths);
 criterion_main!(benches);

@@ -10,12 +10,6 @@
 //!   numeric cube with every built-in kernel in the select list, run
 //!   through the vectorized kernel engine, the encoded row-at-a-time
 //!   arena path (`vectorized(false)`), and the plain `Row`-key path;
-//! * **radix_wide_key** — a 200k-row, 2-dimension cube whose packed key
-//!   is 20 bits wide: radix-partitioned grouping (`.radix(true)`) vs the
-//!   single shared hash map (`.radix(false)`);
-//! * **rle_sorted** — a 100k-row sorted table with a piecewise-constant
-//!   measure: the run-length-compressed scan (`.rle(true)`) vs the plain
-//!   morsel scan (`.rle(false)`);
 //! * **service_concurrent** — sustained throughput through the shared
 //!   `Engine` service: 1 vs 8 concurrent sessions, each alternating a
 //!   cheap single-set GROUP BY with a full 2-dimension CUBE under the
@@ -47,7 +41,7 @@
 //! verify.sh.
 
 use datacube::CubeQuery;
-use dc_bench::{kernel_query, radix_table, sales_query, sales_table, sorted_table, wide_table};
+use dc_bench::{kernel_query, sales_query, sales_table, wide_table};
 use dc_relation::Table;
 use dc_sql::{Engine, ServiceConfig};
 use std::sync::Arc;
@@ -288,10 +282,10 @@ fn main() {
             json_path = it.next().expect("--json requires a path").clone();
         }
     }
-    let (sales_rows, wide_rows, radix_rows, rle_rows, iters) = if smoke {
-        (2_000, 5_000, 5_000, 5_000, 1)
+    let (sales_rows, wide_rows, iters) = if smoke {
+        (2_000, 5_000, 1)
     } else {
-        (50_000, 100_000, 200_000, 100_000, 5)
+        (50_000, 100_000, 5)
     };
     let (service_rows, service_queries) = if smoke || cache_smoke || ingest_smoke {
         (5_000, 4)
@@ -369,40 +363,6 @@ fn main() {
         });
         eprintln!(
             "columnar_wide/{algorithm}: {} ns/op",
-            records.last().unwrap().ns_per_op
-        );
-    }
-
-    // ---- Radix: partitioned grouping vs one shared hash map ----------
-    let radix = radix_table(radix_rows, 1_000);
-    for (algorithm, on) in [("radix", true), ("hash", false)] {
-        let q = kernel_query(2).radix(on);
-        records.push(Record {
-            workload: "radix_wide_key",
-            rows: radix_rows,
-            dims: 2,
-            algorithm,
-            ns_per_op: time_cube(&q, &radix, iters),
-        });
-        eprintln!(
-            "radix_wide_key/{algorithm}: {} ns/op",
-            records.last().unwrap().ns_per_op
-        );
-    }
-
-    // ---- RLE: run-folding scan vs the plain morsel scan --------------
-    let sorted = sorted_table(rle_rows, 64);
-    for (algorithm, on) in [("rle", true), ("plain", false)] {
-        let q = kernel_query(1).rle(on);
-        records.push(Record {
-            workload: "rle_sorted",
-            rows: rle_rows,
-            dims: 1,
-            algorithm,
-            ns_per_op: time_cube(&q, &sorted, iters),
-        });
-        eprintln!(
-            "rle_sorted/{algorithm}: {} ns/op",
             records.last().unwrap().ns_per_op
         );
     }

@@ -95,7 +95,6 @@ pub(crate) fn run_with_choice(
                         rows.len(),
                         lattice,
                         choice,
-                        opts,
                         stats,
                         ctx,
                     )

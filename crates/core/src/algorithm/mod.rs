@@ -78,30 +78,17 @@ pub enum Algorithm {
 /// `encoded` enables the packed-`u64`-key engine for the hash-based
 /// algorithms; `vectorize` additionally lets the from-core and parallel
 /// paths run the columnar kernel engine when every aggregate kernelizes.
-/// `radix` / `rle` force (`Some(true)`), suppress (`Some(false)`), or
-/// leave to auto-detection (`None`) the vectorized engine's
-/// radix-partitioned grouping and run-length-compressed scan; they are
-/// ignored wherever the kernels do not apply. Results are identical on
-/// every path.
+/// Results are identical on every path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PathOpts {
     pub(crate) encoded: bool,
     pub(crate) vectorize: bool,
-    pub(crate) radix: Option<bool>,
-    pub(crate) rle: Option<bool>,
 }
 
 impl PathOpts {
-    /// Options with `radix`/`rle` left to auto-detection — the default
-    /// shape every caller without an explicit override uses.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn new(encoded: bool, vectorize: bool) -> Self {
-        PathOpts {
-            encoded,
-            vectorize,
-            radix: None,
-            rle: None,
-        }
+        PathOpts { encoded, vectorize }
     }
 }
 

@@ -41,7 +41,6 @@ pub(crate) fn run(
                         rows.len(),
                         lattice,
                         threads,
-                        opts,
                         stats,
                         ctx,
                     )

@@ -34,13 +34,12 @@ use crate::groupby::{GroupMap, SetMaps};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::BoundAgg;
 use dc_aggregate::{FusedOp, Kernel, KernelCell, Validity};
-use dc_relation::{Bitmap, Column, ColumnData, FxHashMap, RleIndex, Row};
+use dc_relation::{Bitmap, Column, ColumnData, FxHashMap, Row};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use super::encoded::PARALLEL_CASCADE_MIN_CELLS;
 use super::from_core::ParentChoice;
-use super::PathOpts;
 
 /// Rows per morsel: two checkpoint intervals, so morsel-grained polling
 /// is at worst 2x coarser than the row paths' `tick`, while the slot
@@ -53,19 +52,6 @@ pub(crate) const MORSEL_ROWS: usize = 2 * exec::CHECKPOINT_INTERVAL;
 /// 256 KiB `u32` table — safely cache-resident next to the cells it
 /// indexes, and far cheaper than a hash probe per row.
 const DENSE_SLOT_BITS: u32 = 16;
-
-/// Auto-RLE engages only past this row count (below it the per-row scan
-/// is already cheap and tiny inputs keep bit-exact parity with the row
-/// path in tests).
-const RLE_AUTO_MIN_ROWS: usize = 4096;
-
-/// Auto-RLE requires the sampled mean key-run length to reach this many
-/// rows — below it, per-run dispatch overhead eats the fold savings.
-const RLE_AUTO_MIN_RUN: usize = 4;
-
-/// Auto-radix engages only past this row count; below it one hash map
-/// (or one dense table) wins on setup cost alone.
-const RADIX_AUTO_MIN_ROWS: usize = 32_768;
 
 /// Cells per parallel-materialize task: big enough that a chunk's decode
 /// work dwarfs the cursor fetch, small enough that the final chunks of a
@@ -93,10 +79,6 @@ pub(crate) struct Lane {
     /// time so every morsel takes the branch-free [`Validity::All`] path
     /// instead of re-deriving it.
     all_valid: bool,
-    /// Run-length index over the measure column, attached only when the
-    /// RLE scan engages ([`KernelPlan::attach_rle`]) and the column
-    /// actually compresses. Enables the `n × value` constant-run fold.
-    rle: Option<Arc<RleIndex>>,
 }
 
 impl Lane {
@@ -153,35 +135,6 @@ impl KernelPlan {
             col: Arc::clone(col?),
             ops,
         })
-    }
-
-    /// Build per-measure [`RleIndex`]es for the RLE scan, deduplicated
-    /// across lanes sharing one extracted column and kept only where the
-    /// column compresses. Called once, only when the RLE path engages —
-    /// the per-row paths never pay for it.
-    fn attach_rle(&mut self) {
-        let mut cache: Vec<(usize, Option<Arc<RleIndex>>)> = Vec::new();
-        for lane in &mut self.lanes {
-            let (ptr, built) = match &lane.input {
-                LaneInput::Star => continue,
-                LaneInput::Ints(col) => (
-                    Arc::as_ptr(col) as usize,
-                    RleIndex::from_i64(&col.0, &col.1),
-                ),
-                LaneInput::Floats(col) => (
-                    Arc::as_ptr(col) as usize,
-                    RleIndex::from_f64(&col.0, &col.1),
-                ),
-            };
-            lane.rle = match cache.iter().find(|(p, _)| *p == ptr) {
-                Some((_, idx)) => idx.clone(),
-                None => {
-                    let idx = built.is_beneficial().then(|| Arc::new(built));
-                    cache.push((ptr, idx.clone()));
-                    idx
-                }
-            };
-        }
     }
 }
 
@@ -246,7 +199,6 @@ pub(crate) fn plan(rows: &[Row], aggs: &[BoundAgg]) -> Option<KernelPlan> {
             kernel,
             input,
             all_valid,
-            rle: None,
         });
     }
     Some(KernelPlan { lanes })
@@ -256,14 +208,10 @@ pub(crate) fn plan(rows: &[Row], aggs: &[BoundAgg]) -> Option<KernelPlan> {
 enum SlotIndex {
     /// General case: one Fx hash map over full keys.
     Map(FxHashMap<u64, u32>),
-    /// Small key spaces (`table.len() == mask + 1`): `table[key & mask]`
-    /// holds `slot + 1` (0 = empty) — the §5 dense-array idea applied to
-    /// slot resolution. The mask is all-ones over the whole key for
-    /// narrow encoders, or just the low bits inside a radix partition
-    /// (every key in a partition shares the high bits).
-    Dense { table: Vec<u32>, mask: u64 },
-    /// An assembled radix result: slots are final, no further inserts.
-    Frozen,
+    /// Small key spaces (`table.len() == 1 << key_bits`, so every packed
+    /// key indexes it): `table[key]` holds `slot + 1` (0 = empty) — the
+    /// §5 dense-array idea applied to slot resolution.
+    Dense(Vec<u32>),
 }
 
 /// Flat kernel-cell storage for one grouping set, mirroring
@@ -301,26 +249,28 @@ impl KernelArena {
         }
     }
 
-    /// A dense-indexed arena over `key & mask` (`mask + 1` table slots).
-    fn dense(n_lanes: usize, mask: u64) -> Self {
+    /// A dense-indexed arena over `key_bits`-wide packed keys.
+    fn dense(n_lanes: usize, key_bits: u32) -> Self {
         KernelArena {
-            index: SlotIndex::Dense {
-                table: vec![0u32; mask as usize + 1],
-                mask,
-            },
+            index: SlotIndex::Dense(vec![0u32; 1 << key_bits]),
             keys: Vec::new(),
             cells: Vec::new(),
             n_lanes,
         }
     }
 
-    /// Pick dense slot resolution when the key space is at most
+    /// Whether dense slot resolution pays: the key space is at most
     /// [`DENSE_SLOT_BITS`] wide *and* small relative to the expected
     /// input (`hint` rows/cells) — a giant mostly-empty table loses to
     /// the hash map on allocation and cache footprint alone.
+    fn dense_fits(key_bits: u32, hint: usize) -> bool {
+        key_bits <= DENSE_SLOT_BITS && (1usize << key_bits) <= (64 * hint).max(1024)
+    }
+
+    /// A dense arena when [`Self::dense_fits`], else an unsized hash map.
     fn sized_for(n_lanes: usize, key_bits: u32, hint: usize) -> Self {
-        if key_bits <= DENSE_SLOT_BITS && (1usize << key_bits) <= (64 * hint).max(1024) {
-            KernelArena::dense(n_lanes, (1u64 << key_bits) - 1)
+        if KernelArena::dense_fits(key_bits, hint) {
+            KernelArena::dense(n_lanes, key_bits)
         } else {
             KernelArena::new(n_lanes)
         }
@@ -344,17 +294,13 @@ impl KernelArena {
                     e.insert(next);
                 }
             },
-            SlotIndex::Dense { table, mask } => {
-                let t = &mut table[(key & *mask) as usize];
+            SlotIndex::Dense(table) => {
+                let t = &mut table[key as usize];
                 if *t != 0 {
                     return Ok(*t - 1);
                 }
                 ctx.charge_cells(1)?;
                 *t = next + 1;
-            }
-            SlotIndex::Frozen => {
-                // cube-lint: allow(panic, frozen arenas are only iterated, never inserted into)
-                unreachable!("insert into a frozen radix arena")
             }
         }
         self.keys.push(key);
@@ -373,11 +319,10 @@ impl KernelArena {
         slot_buf: &mut Vec<u32>,
         ctx: &ExecContext,
     ) -> CubeResult<()> {
-        if let SlotIndex::Dense { table, mask } = &mut self.index {
-            let mask = *mask;
+        if let SlotIndex::Dense(table) = &mut self.index {
             // cube-lint: allow(checkpoint, bounded by one morsel; the caller checkpoints per morsel)
             for &key in morsel_keys {
-                let t = &mut table[(key & mask) as usize];
+                let t = &mut table[key as usize];
                 if *t != 0 {
                     slot_buf.push(*t - 1);
                     continue;
@@ -415,18 +360,14 @@ impl KernelArena {
                     (next, true)
                 }
             },
-            SlotIndex::Dense { table, mask } => {
-                let t = &mut table[(key & *mask) as usize];
+            SlotIndex::Dense(table) => {
+                let t = &mut table[key as usize];
                 if *t != 0 {
                     (*t - 1, false)
                 } else {
                     *t = next + 1;
                     (next, true)
                 }
-            }
-            SlotIndex::Frozen => {
-                // cube-lint: allow(panic, frozen arenas are only iterated, never inserted into)
-                unreachable!("insert into a frozen radix arena")
             }
         };
         if fresh {
@@ -783,450 +724,21 @@ fn compute_core(
     Ok(arena)
 }
 
-/// Scan one RLE morsel `[base, end)`: detect maximal key runs and fold
-/// each run's rows into its cell with one kernel call — `n × value` when
-/// the measure is constant over the run, a register-reduction fold when it
-/// is merely fully valid, a masked fold otherwise. Row order within and
-/// across runs matches the plain scan, so float results are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn scan_morsel_rle(
-    arena: &mut KernelArena,
-    enc: &EncodedInput,
-    plan: &KernelPlan,
-    base: usize,
-    end: usize,
-    stats: &mut ExecStats,
-    ctx: &ExecContext,
-) -> CubeResult<()> {
-    exec::failpoint("vectorized::rle_run")?;
-    ctx.checkpoint()?;
-    let stride = plan.lanes.len();
-    let keys = &enc.keys;
-    let mut s = base;
-    // cube-lint: allow(checkpoint, run count per morsel is bounded by MORSEL_ROWS; the enclosing morsel loop checkpoints)
-    while s < end {
-        let key = keys[s];
-        let mut e = s + 1;
-        while e < end && keys[e] == key {
-            e += 1;
-        }
-        let len = e - s;
-        let slot = arena.slot(key, ctx)? as usize;
-        let cbase = slot * stride;
-        for (l, lane) in plan.lanes.iter().enumerate() {
-            let cell = &mut arena.cells[cbase + l];
-            match &lane.input {
-                LaneInput::Star => Kernel::fold_star(cell, len as i64),
-                LaneInput::Ints(col) => {
-                    if lane.all_valid {
-                        let constant = lane.rle.as_ref().is_some_and(|r| r.constant_over(s, e));
-                        if constant {
-                            lane.kernel.fold_repeat_i64(cell, col.0[s], len as i64);
-                        } else {
-                            lane.kernel.fold_i64(cell, &col.0[s..e]);
-                        }
-                    } else {
-                        lane.kernel
-                            .fold_i64_masked(cell, &col.0, col.1.words(), s, e);
-                    }
-                }
-                LaneInput::Floats(col) => {
-                    if lane.all_valid {
-                        let constant = lane.rle.as_ref().is_some_and(|r| r.constant_over(s, e));
-                        if constant {
-                            lane.kernel.fold_repeat_f64(cell, col.0[s], len as i64);
-                        } else {
-                            lane.kernel.fold_f64(cell, &col.0[s..e]);
-                        }
-                    } else {
-                        lane.kernel
-                            .fold_f64_masked(cell, &col.0, col.1.words(), s, e);
-                    }
-                }
-            }
-            stats.iter_calls += len as u64;
-        }
-        stats.rows_scanned += len as u64;
-        stats.rle_runs += 1;
-        s = e;
-    }
-    stats.morsels_processed += 1;
-    Ok(())
-}
-
-/// The core GROUP BY over run-length-compressed keys: the same serial
-/// morsel walk as [`compute_core`], but each morsel is scanned run-at-a-
-/// time by [`scan_morsel_rle`].
-fn compute_core_rle(
-    enc: &EncodedInput,
-    plan: &KernelPlan,
-    n_rows: usize,
-    stats: &mut ExecStats,
-    ctx: &ExecContext,
-) -> CubeResult<KernelArena> {
-    exec::failpoint("core::scan")?;
-    let mut arena = KernelArena::sized_for(plan.lanes.len(), enc.encoder.total_bits(), n_rows);
-    let mut base = 0;
-    // cube-lint: allow(checkpoint, scan_morsel_rle checkpoints at its own failpoint per morsel)
-    while base < n_rows {
-        let end = (base + MORSEL_ROWS).min(n_rows);
-        scan_morsel_rle(&mut arena, enc, plan, base, end, stats, ctx)?;
-        base = end;
-    }
-    Ok(arena)
-}
-
-/// Partition-count heuristic for radix grouping: peel the key bits above
-/// [`DENSE_SLOT_BITS`] into the partition index (so every partition's
-/// residual key space fits a dense table), clamped to `2^4..=2^12`
-/// partitions. Narrow keys (which would not use radix anyway) get a
-/// token 2-partition split so the path stays exercisable when forced.
-fn radix_partition_bits(key_bits: u32) -> u32 {
-    if key_bits > DENSE_SLOT_BITS {
-        (key_bits - DENSE_SLOT_BITS).clamp(4, 12)
-    } else {
-        key_bits.clamp(1, 4).min(key_bits.max(1))
-    }
-}
-
-/// Should the RLE scan run? Explicit override wins; otherwise engage on
-/// large inputs whose leading keys sample to runs of at least
-/// [`RLE_AUTO_MIN_RUN`] rows.
-fn rle_engages(opt: Option<bool>, enc: &EncodedInput, n_rows: usize) -> bool {
-    match opt {
-        Some(x) => x && n_rows > 0,
-        None => {
-            if n_rows < RLE_AUTO_MIN_ROWS {
-                return false;
-            }
-            let sample = &enc.keys[..n_rows.min(4096)];
-            let runs = 1 + sample.windows(2).filter(|w| w[0] != w[1]).count();
-            sample.len() / runs >= RLE_AUTO_MIN_RUN
-        }
-    }
-}
-
-/// Should radix-partitioned grouping run? Explicit override wins;
-/// otherwise engage on large inputs whose key space overflows one dense
-/// slot table — exactly when the single shared hash map starts missing
-/// cache on every probe.
-fn radix_engages(opt: Option<bool>, enc: &EncodedInput, n_rows: usize) -> bool {
-    if n_rows == 0 {
-        return false;
-    }
-    match opt {
-        Some(x) => x,
-        None => enc.encoder.total_bits() > DENSE_SLOT_BITS && n_rows >= RADIX_AUTO_MIN_ROWS,
-    }
-}
-
-/// The core GROUP BY by radix partitioning (§5's "partition the cube into
-/// chunks" applied to grouping): scatter row indices into `2^p_bits`
-/// partitions by high key bits, then aggregate each partition into its
-/// own arena — dense-indexed over the low bits whenever the residual key
-/// space allows — and concatenate. No lock is ever taken on an arena:
-/// phase 1 writes thread-local buckets, phase 2 gives each partition to
-/// exactly one worker.
-///
-/// Determinism: each key lives in exactly one partition, phase 1 workers
-/// own fixed contiguous row ranges and scatter in row order, and phase 2
-/// replays each partition's buckets in worker (= row) order — so every
-/// group folds its rows in global row order and float accumulation is
-/// bit-identical to the single-map scan. Partitions are assembled in
-/// partition order, giving a deterministic (if different from
-/// first-touch) slot order; `materialize` sorts cells by decoded key, so
-/// output order is unchanged.
-fn radix_core(
-    enc: &EncodedInput,
-    plan: &KernelPlan,
-    n_rows: usize,
-    threads: usize,
-    stats: &mut ExecStats,
-    ctx: &ExecContext,
-) -> CubeResult<KernelArena> {
-    exec::failpoint("core::scan")?;
-    let n = plan.lanes.len();
-    let key_bits = enc.encoder.total_bits();
-    let p_bits = radix_partition_bits(key_bits);
-    let n_parts = 1usize << p_bits;
-    let shift = key_bits.saturating_sub(p_bits);
-    stats.radix_partitions = stats.radix_partitions.max(n_parts as u32);
-
-    let threads = threads.max(1).min(n_rows.max(1));
-
-    // Phase 1: scatter row indices into per-worker partition buckets.
-    // Workers take fixed contiguous chunks (not cursor-pulled morsels) so
-    // bucket contents are a deterministic function of the input, and
-    // phase 2 can replay them in row order.
-    type ScatterOutcome = (CubeResult<Vec<Vec<u32>>>, ExecStats);
-    let scatter_chunk = |lo: usize, hi: usize, ctx: &ExecContext| -> ScatterOutcome {
-        let mut local = ExecStats::default();
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_parts];
-        let mut base = lo;
-        // cube-lint: allow(checkpoint, the per-morsel failpoint+checkpoint below bounds poll latency)
-        while base < hi {
-            let end = (base + MORSEL_ROWS).min(hi);
-            if let Err(e) = exec::failpoint("vectorized::radix_partition") {
-                return (Err(e), local);
-            }
-            if let Err(e) = ctx.checkpoint() {
-                return (Err(e), local);
-            }
-            for (i, &key) in enc.keys[base..end].iter().enumerate() {
-                buckets[(key >> shift) as usize].push((base + i) as u32);
-            }
-            local.rows_scanned += (end - base) as u64;
-            local.morsels_processed += 1;
-            base = end;
-        }
-        (Ok(buckets), local)
-    };
-
-    let chunk = n_rows.div_ceil(threads);
-    let scattered: Vec<ScatterOutcome> = if threads > 1 {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w * chunk).min(n_rows);
-                    let hi = (lo + chunk).min(n_rows);
-                    scope.spawn(move |_| scatter_chunk(lo, hi, ctx))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        (
-                            Err(exec::panic_error("vectorized::radix_partition", p.as_ref())),
-                            ExecStats::default(),
-                        )
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|p| {
-            vec![(
-                Err(exec::panic_error("vectorized::radix_partition", p.as_ref())),
-                ExecStats::default(),
-            )]
-        })
-    } else {
-        vec![scatter_chunk(0, n_rows, ctx)]
-    };
-
-    let mut failed = None;
-    let mut worker_buckets: Vec<Vec<Vec<u32>>> = Vec::with_capacity(scattered.len());
-    for (result, local) in scattered {
-        stats.add(&local);
-        match result {
-            Ok(b) => worker_buckets.push(b),
-            Err(e) => failed = failed.or(Some(e)),
-        }
-    }
-    if let Some(e) = failed {
-        return Err(e);
-    }
-
-    // Phase 2: one owner per partition, pulled from an atomic cursor.
-    // Each partition's rows are replayed in worker order (= row order,
-    // because phase 1 chunks are contiguous and ordered) through the
-    // gather kernels.
-    let fused = plan.fused_ints();
-    let aggregate_partition = |p: usize,
-                               stats: &mut ExecStats,
-                               ctx: &ExecContext|
-     -> CubeResult<KernelArena> {
-        let part_rows: usize = worker_buckets.iter().map(|b| b[p].len()).sum();
-        let mut arena = if shift <= DENSE_SLOT_BITS {
-            // Every key in this partition shares the high bits, so the
-            // low `shift` bits index a dense table.
-            KernelArena::dense(n, (1u64 << shift) - 1)
-        } else {
-            KernelArena::with_capacity(n, part_rows.min(1 << 10))
-        };
-        let mut slot_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS);
-        let mut key_buf: Vec<u64> = Vec::with_capacity(MORSEL_ROWS);
-        for bucket in worker_buckets.iter().map(|b| &b[p]) {
-            let mut base = 0;
-            // cube-lint: allow(checkpoint, the per-chunk failpoint+checkpoint below bounds poll latency)
-            while base < bucket.len() {
-                let end = (base + MORSEL_ROWS).min(bucket.len());
-                exec::failpoint("vectorized::radix_partition")?;
-                ctx.checkpoint()?;
-                let idxs = &bucket[base..end];
-                slot_buf.clear();
-                key_buf.clear();
-                key_buf.extend(idxs.iter().map(|&ri| enc.keys[ri as usize]));
-                arena.slots_for(&key_buf, &mut slot_buf, ctx)?;
-                if let Some(f) = &fused {
-                    dc_aggregate::update_i64_gather_fused(
-                        &mut arena.cells,
-                        &f.ops,
-                        &slot_buf,
-                        idxs,
-                        &f.col.0,
-                    );
-                    stats.iter_calls += (idxs.len() * n) as u64;
-                    base = end;
-                    continue;
-                }
-                for (l, lane) in plan.lanes.iter().enumerate() {
-                    match &lane.input {
-                        LaneInput::Star => Kernel::update_star(&mut arena.cells, n, l, &slot_buf),
-                        LaneInput::Ints(col) => lane.kernel.update_i64_gather(
-                            &mut arena.cells,
-                            n,
-                            l,
-                            &slot_buf,
-                            idxs,
-                            &col.0,
-                            (!lane.all_valid).then(|| col.1.words()),
-                        ),
-                        LaneInput::Floats(col) => lane.kernel.update_f64_gather(
-                            &mut arena.cells,
-                            n,
-                            l,
-                            &slot_buf,
-                            idxs,
-                            &col.0,
-                            (!lane.all_valid).then(|| col.1.words()),
-                        ),
-                    }
-                    stats.iter_calls += idxs.len() as u64;
-                }
-                base = end;
-            }
-        }
-        Ok(arena)
-    };
-
-    type PartOutcome = (CubeResult<Vec<(usize, KernelArena)>>, ExecStats);
-    let parts: Vec<PartOutcome> = if threads > 1 {
-        let cursor = AtomicUsize::new(0);
-        let cursor_ref = &cursor;
-        let aggregate_ref = &aggregate_partition;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move |_| -> PartOutcome {
-                        let mut local = ExecStats::default();
-                        let mut built = Vec::new();
-                        loop {
-                            // cube-lint: allow(atomic, morsel work-claim counter: each claimed partition is consumed only by the claiming thread, over data made visible by the scoped spawn)
-                            let p = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                            if p >= n_parts {
-                                break;
-                            }
-                            match aggregate_ref(p, &mut local, ctx) {
-                                Ok(arena) => built.push((p, arena)),
-                                Err(e) => return (Err(e), local),
-                            }
-                        }
-                        (Ok(built), local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        (
-                            Err(exec::panic_error("vectorized::radix_partition", p.as_ref())),
-                            ExecStats::default(),
-                        )
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|p| {
-            vec![(
-                Err(exec::panic_error("vectorized::radix_partition", p.as_ref())),
-                ExecStats::default(),
-            )]
-        })
-    } else {
-        let mut local = ExecStats::default();
-        let mut built = Vec::with_capacity(n_parts);
-        let mut err = None;
-        for p in 0..n_parts {
-            // cube-lint: allow(checkpoint, aggregate_partition checkpoints per chunk inside)
-            match aggregate_partition(p, &mut local, ctx) {
-                Ok(arena) => built.push((p, arena)),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        match err {
-            None => vec![(Ok(built), local)],
-            Some(e) => vec![(Err(e), local)],
-        }
-    };
-
-    let mut failed = None;
-    let mut arenas: Vec<(usize, KernelArena)> = Vec::with_capacity(n_parts);
-    for (result, local) in parts {
-        stats.add(&local);
-        match result {
-            Ok(built) => arenas.extend(built),
-            Err(e) => failed = failed.or(Some(e)),
-        }
-    }
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    arenas.sort_by_key(|(p, _)| *p);
-
-    // Assemble: concatenate partition arenas in partition order. Slots
-    // are final, so the result needs no index — it is only iterated.
-    let total: usize = arenas.iter().map(|(_, a)| a.n_cells()).sum();
-    let mut keys = Vec::with_capacity(total);
-    let mut cells = Vec::with_capacity(total * n);
-    for (_, arena) in arenas {
-        keys.extend_from_slice(&arena.keys);
-        cells.extend_from_slice(&arena.cells);
-    }
-    Ok(KernelArena {
-        index: SlotIndex::Frozen,
-        keys,
-        cells,
-        n_lanes: n,
-    })
-}
-
 /// From-core on kernels: core scan + [`cascade`]. Takes the plan by value
 /// — the returned [`KernelSets`] owns it through materialization.
-///
-/// `opts` picks the core-scan strategy: the RLE run-fold scan when it
-/// engages (forced or auto — sorted/low-cardinality key streams), else
-/// radix-partitioned grouping when *it* engages (forced or auto — wide
-/// key spaces at scale), else the plain morsel scan. RLE wins when both
-/// are viable: folding whole runs subsumes the partitioning win, and
-/// sorted keys make partition scatter pure overhead.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn from_core(
     enc: &EncodedInput,
     plan: KernelPlan,
     n_rows: usize,
     lattice: &Lattice,
     choice: ParentChoice,
-    opts: PathOpts,
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<KernelSets> {
     // Recorded before the scan so partial stats on a budget trip already
     // say which engine was running.
     stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(plan.lanes.len() as u64);
-    let mut plan = plan;
-    let core = if rle_engages(opts.rle, enc, n_rows) {
-        plan.attach_rle();
-        compute_core_rle(enc, &plan, n_rows, stats, ctx)?
-    } else if radix_engages(opts.radix, enc, n_rows) {
-        radix_core(enc, &plan, n_rows, 1, stats, ctx)?
-    } else {
-        compute_core(enc, &plan, n_rows, stats, ctx)?
-    };
+    let core = compute_core(enc, &plan, n_rows, stats, ctx)?;
     let sets = cascade(core, &enc.encoder, &plan, lattice, choice, stats, ctx)?;
     Ok(KernelSets {
         sets,
@@ -1250,9 +762,8 @@ fn merged_child(
     // Children index masked keys through the same packed-key space, so a
     // narrow encoder gets the dense table here too; wide keys keep a
     // pre-sized map (children shrink, but rarely below half the parent).
-    let mut child = if key_bits <= DENSE_SLOT_BITS && (1usize << key_bits) <= (64 * hint).max(1024)
-    {
-        KernelArena::dense(n, (1u64 << key_bits) - 1)
+    let mut child = if KernelArena::dense_fits(key_bits, hint) {
+        KernelArena::dense(n, key_bits)
     } else {
         KernelArena::with_capacity(n, hint)
     };
@@ -1423,37 +934,12 @@ pub(crate) fn parallel(
     n_rows: usize,
     lattice: &Lattice,
     threads: usize,
-    opts: PathOpts,
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<KernelSets> {
     stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(plan.lanes.len() as u64);
     let threads = threads.max(1).min(n_rows.max(1));
     stats.threads_used = stats.threads_used.max(threads as u32);
-
-    let mut plan = plan;
-    let use_rle = rle_engages(opts.rle, enc, n_rows);
-    if use_rle {
-        plan.attach_rle();
-    } else if radix_engages(opts.radix, enc, n_rows) {
-        // Radix grouping is itself a parallel core build — partitions are
-        // aggregated without any shared map or coalesce pass.
-        let core = radix_core(enc, &plan, n_rows, threads, stats, ctx)?;
-        let sets = cascade(
-            core,
-            &enc.encoder,
-            &plan,
-            lattice,
-            ParentChoice::SmallestCardinality,
-            stats,
-            ctx,
-        )?;
-        return Ok(KernelSets {
-            sets,
-            plan,
-            encoder: enc.encoder.clone(),
-        });
-    }
 
     let cursor = AtomicUsize::new(0);
     // Each worker reports its local stats alongside the result so that a
@@ -1485,22 +971,17 @@ pub(crate) fn parallel(
                                 break;
                             }
                             let end = (base + MORSEL_ROWS).min(n_rows);
-                            let scanned = if use_rle {
-                                scan_morsel_rle(&mut arena, enc, plan, base, end, &mut local, ctx)
-                            } else {
-                                scan_morsel(
-                                    &mut arena,
-                                    enc,
-                                    plan,
-                                    fused.as_ref(),
-                                    &mut slot_buf,
-                                    base,
-                                    end,
-                                    &mut local,
-                                    ctx,
-                                )
-                            };
-                            if let Err(e) = scanned {
+                            if let Err(e) = scan_morsel(
+                                &mut arena,
+                                enc,
+                                plan,
+                                fused.as_ref(),
+                                &mut slot_buf,
+                                base,
+                                end,
+                                &mut local,
+                                ctx,
+                            ) {
                                 return (Err(e), local);
                             }
                         }
@@ -1689,7 +1170,6 @@ mod tests {
             t.rows().len(),
             &lattice,
             ParentChoice::SmallestCardinality,
-            PathOpts::new(true, true),
             &mut sv,
             &ctx,
         )
@@ -1732,7 +1212,6 @@ mod tests {
                 t.rows().len(),
                 &lattice,
                 ParentChoice::SmallestCardinality,
-                PathOpts::new(true, true),
                 &mut ExecStats::default(),
                 &ctx,
             )
@@ -1748,7 +1227,6 @@ mod tests {
                 t.rows().len(),
                 &lattice,
                 threads,
-                PathOpts::new(true, true),
                 &mut sp,
                 &ctx,
             )

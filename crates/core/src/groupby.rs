@@ -69,13 +69,6 @@ pub struct ExecStats {
     /// Fixed-size row-range morsels pulled by scan workers (0 for the
     /// pre-split `Row`-keyed paths).
     pub morsels_processed: u64,
-    /// Partitions used by radix-partitioned grouping (0 when the core
-    /// scan ran the single hash map or the RLE path instead; `u32` — the
-    /// scatter clamps to 4096 partitions).
-    pub radix_partitions: u32,
-    /// Key runs folded by the run-length scan (0 when the per-row morsel
-    /// scan ran instead).
-    pub rle_runs: u64,
     /// Milliseconds the query spent waiting in the admission queue before
     /// execution (0 when admitted immediately or ungoverned). Queue time
     /// counts against the query's own deadline.
@@ -113,8 +106,6 @@ impl ExecStats {
             .vectorized_kernels_used
             .max(other.vectorized_kernels_used);
         self.morsels_processed += other.morsels_processed;
-        self.radix_partitions = self.radix_partitions.max(other.radix_partitions);
-        self.rle_runs += other.rle_runs;
         self.queue_wait_ms += other.queue_wait_ms;
         self.granted_cells = self.granted_cells.max(other.granted_cells);
         self.retry_after_ms = self.retry_after_ms.max(other.retry_after_ms);

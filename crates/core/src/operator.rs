@@ -52,8 +52,6 @@ pub struct CubeQuery {
     algorithm: Algorithm,
     encoded: bool,
     vectorized: bool,
-    radix: Option<bool>,
-    rle: Option<bool>,
     limits: ExecLimits,
 }
 
@@ -71,8 +69,6 @@ impl CubeQuery {
             algorithm: Algorithm::Auto,
             encoded: true,
             vectorized: true,
-            radix: None,
-            rle: None,
             limits: ExecLimits::none(),
         }
     }
@@ -127,37 +123,12 @@ impl CubeQuery {
         self
     }
 
-    /// Force (`true`) or suppress (`false`) radix-partitioned grouping in
-    /// the vectorized engine. By default the engine decides per query:
-    /// radix engages on large inputs whose packed key space overflows one
-    /// dense slot table. Only consulted where the kernel engine runs;
-    /// results are identical either way, and
-    /// `ExecStats::radix_partitions` reports the partition count actually
-    /// used.
-    pub fn radix(mut self, radix: bool) -> Self {
-        self.radix = Some(radix);
-        self
-    }
-
-    /// Force (`true`) or suppress (`false`) the run-length-compressed
-    /// scan in the vectorized engine. By default the engine decides per
-    /// query: RLE engages on large inputs whose leading key stream
-    /// samples to long runs (sorted or low-cardinality dimensions). Only
-    /// consulted where the kernel engine runs; results are identical
-    /// either way, and `ExecStats::rle_runs` reports the runs folded.
-    pub fn rle(mut self, rle: bool) -> Self {
-        self.rle = Some(rle);
-        self
-    }
-
     /// This query's execution-path switches, in the form the algorithm
     /// layer consumes.
     fn path_opts(&self) -> crate::algorithm::PathOpts {
         crate::algorithm::PathOpts {
             encoded: self.encoded,
             vectorize: self.vectorized,
-            radix: self.radix,
-            rle: self.rle,
         }
     }
 
@@ -308,8 +279,6 @@ impl CubeQuery {
             algorithm: self.algorithm,
             encoded: self.encoded,
             vectorized: self.vectorized,
-            radix: self.radix,
-            rle: self.rle,
             limits: self.limits.clone(),
         };
         let sets = spec.grouping_sets()?;

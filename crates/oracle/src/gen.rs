@@ -372,9 +372,9 @@ pub fn gen_case(seed: u64) -> Case {
         _ => rng.gen_range(61usize..=200),
     };
 
-    // RLE-facing shapes: sorting the rows gives the key stream long runs
-    // (the sorted-input case the RLE scan optimizes), and a tiny measure
-    // domain creates constant measure runs for the `n × value` fold.
+    // Long-run shapes: sorting the rows gives the key stream long runs of
+    // one group (every row of a run hits the same cell in the morsel
+    // scan), and a tiny measure domain creates constant measure runs.
     let sort_rows = rng.gen_bool(0.3);
     let tiny_measures = rng.gen_bool(0.2);
 

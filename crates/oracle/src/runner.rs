@@ -2,9 +2,7 @@
 //!
 //! Hash-based algorithms (Auto, 2^N, union-of-GROUP-BYs, from-core,
 //! parallel at 1/4/16 threads) run under all four {encoded} × {vectorized}
-//! flag combinations, plus three forced radix/RLE overrides inside the
-//! vectorized engine (radix-vs-hash and RLE-vs-plain are execution axes
-//! of their own); the sort- and array-based algorithms have their own
+//! flag combinations; the sort- and array-based algorithms have their own
 //! key machinery (the flags are documented no-ops) and run once each,
 //! gated on the lattice shapes they support — Sort on ROLLUP lattices,
 //! Array and PipeSort on full cubes.
@@ -32,10 +30,6 @@ pub struct Combo {
     pub algorithm: Algorithm,
     pub encoded: bool,
     pub vectorized: bool,
-    /// Vectorized-engine radix-grouping override (`None` = auto-detect).
-    pub radix: Option<bool>,
-    /// Vectorized-engine RLE-scan override (`None` = auto-detect).
-    pub rle: Option<bool>,
 }
 
 /// All configurations applicable to a query kind.
@@ -49,7 +43,7 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
         Algorithm::Parallel { threads: 4 },
         Algorithm::Parallel { threads: 16 },
     ];
-    let mut all = Vec::with_capacity(51);
+    let mut all = Vec::with_capacity(30);
     for algorithm in hash_algorithms {
         for encoded in [true, false] {
             for vectorized in [true, false] {
@@ -57,28 +51,8 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
                     algorithm,
                     encoded,
                     vectorized,
-                    radix: None,
-                    rle: None,
                 });
             }
-        }
-        // The radix-vs-hash and RLE-vs-plain axes live inside the
-        // vectorized engine, so they are exercised only where it can run
-        // (encoded + vectorized): force each on, force each off, and
-        // force both on (RLE must win) against the auto-detecting base
-        // combo above.
-        for (radix, rle) in [
-            (Some(true), Some(false)),
-            (Some(false), Some(true)),
-            (Some(true), Some(true)),
-        ] {
-            all.push(Combo {
-                algorithm,
-                encoded: true,
-                vectorized: true,
-                radix,
-                rle,
-            });
         }
     }
     match query {
@@ -86,8 +60,6 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
             algorithm: Algorithm::Sort,
             encoded: true,
             vectorized: true,
-            radix: None,
-            rle: None,
         }),
         QueryKind::Cube => {
             for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
@@ -95,8 +67,6 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
                     algorithm,
                     encoded: true,
                     vectorized: true,
-                    radix: None,
-                    rle: None,
                 });
             }
         }
@@ -112,12 +82,6 @@ pub fn run_engine(case: &Case, combo: &Combo) -> CubeResult<Table> {
         .encoded_keys(combo.encoded)
         .vectorized(combo.vectorized)
         .limits(case.gov.limits());
-    if let Some(radix) = combo.radix {
-        q = q.radix(radix);
-    }
-    if let Some(rle) = combo.rle {
-        q = q.rle(rle);
-    }
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
     }
@@ -392,12 +356,8 @@ mod tests {
         assert!(cube.iter().any(|c| c.algorithm == Algorithm::Array));
         assert!(cube.iter().any(|c| c.algorithm == Algorithm::PipeSort));
         assert!(!cube.iter().any(|c| c.algorithm == Algorithm::Sort));
-        // 7 hash algorithms × (4 flag combos + 3 forced radix/rle
-        // combos), plus the dense pair.
-        assert_eq!(cube.len(), 51);
-        assert!(cube
-            .iter()
-            .any(|c| c.radix == Some(true) && c.rle == Some(true)));
+        // 7 hash algorithms × 4 flag combos, plus the dense pair.
+        assert_eq!(cube.len(), 30);
         assert!(cube
             .iter()
             .any(|c| c.algorithm == Algorithm::Parallel { threads: 16 }));

@@ -36,7 +36,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData, ColumnarBatch, RleIndex};
+pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData, ColumnarBatch};
 pub use date::Date;
 pub use dictionary::SymbolTable;
 pub use error::{RelError, RelResult};

@@ -499,74 +499,29 @@ fn cell_budget_trips_inside_the_vectorized_morsel_loop() {
 
 #[test]
 fn cancellation_is_observed_between_morsels() {
-    let token = CancelToken::new();
-    token.cancel();
     let t = grid(64, 64);
-    let err = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .limits(ExecLimits::none().cancel_token(token))
-        .cube_with_stats(&t)
-        .unwrap_err();
-    match err {
-        CubeError::Cancelled { stats } => {
-            // The per-morsel checkpoint fires before any row of the first
-            // morsel, but the kernel plan was already compiled.
-            assert_eq!(stats.vectorized_kernels_used, 1);
-            assert!(stats.morsels_processed < (t.len() as u64).div_ceil(2048));
-        }
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-}
-
-#[test]
-fn cell_budget_trips_inside_the_radix_build() {
-    // Force the radix path (the 14-bit grid key would not auto-engage)
-    // and give it a quarter of the cells the core needs: the per-slot
-    // charge inside partition aggregation must unwind with partial stats
-    // that prove the radix build was running.
-    let t = grid(64, 64);
-    let err = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .algorithm(Algorithm::Parallel { threads: 2 })
-        .radix(true)
-        .limits(ExecLimits::none().max_cells(256))
-        .cube_with_stats(&t)
-        .unwrap_err();
-    match err {
-        CubeError::ResourceExhausted {
-            resource, stats, ..
-        } => {
-            assert_eq!(resource, Resource::Cells);
-            assert_eq!(stats.vectorized_kernels_used, 1);
-            assert!(stats.radix_partitions > 0, "partial stats: {stats:?}");
-            assert!(stats.rows_scanned > 0, "partial stats: {stats:?}");
-        }
-        other => panic!("expected ResourceExhausted, got {other:?}"),
-    }
-}
-
-#[test]
-fn cancellation_is_observed_inside_rle_and_radix_scans() {
-    let t = grid(64, 64);
-    for force in ["rle", "radix"] {
+    // The serial morsel walk and the parallel workers' morsel loop.
+    for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 2 }] {
         let token = CancelToken::new();
         token.cancel();
-        let mut q = CubeQuery::new()
+        let err = CubeQuery::new()
             .dimensions(xy_dims())
             .aggregate(sum_units())
-            .limits(ExecLimits::none().cancel_token(token));
-        q = if force == "rle" {
-            q.rle(true)
-        } else {
-            q.radix(true)
-        };
-        match q.cube_with_stats(&t).unwrap_err() {
+            .algorithm(alg)
+            .limits(ExecLimits::none().cancel_token(token))
+            .cube_with_stats(&t)
+            .unwrap_err();
+        match err {
             CubeError::Cancelled { stats } => {
-                assert_eq!(stats.vectorized_kernels_used, 1, "{force}");
+                // The per-morsel checkpoint fires before any row of the
+                // first morsel, but the kernel plan was already compiled.
+                assert_eq!(stats.vectorized_kernels_used, 1, "{alg:?}");
+                assert!(
+                    stats.morsels_processed < (t.len() as u64).div_ceil(2048),
+                    "{alg:?}: {stats:?}"
+                );
             }
-            other => panic!("{force}: expected Cancelled, got {other:?}"),
+            other => panic!("{alg:?}: expected Cancelled, got {other:?}"),
         }
     }
 }
@@ -581,7 +536,7 @@ mod faults_suite {
     /// Every named failpoint site across the engine, including the
     /// service layer's (`service::*`, exercised separately below — they
     /// sit on the SQL session/server path, not the core cube path).
-    const SITES: [&str; 26] = [
+    const SITES: [&str; 24] = [
         "uda::init",
         "uda::iter",
         "uda::merge",
@@ -595,8 +550,6 @@ mod faults_suite {
         "pipesort::pipeline",
         "array::sweep",
         "vectorized::morsel",
-        "vectorized::radix_partition",
-        "vectorized::rle_run",
         "materialize",
         "service::admit",
         "service::queue_wait",
@@ -811,116 +764,6 @@ mod faults_suite {
                 match result {
                     Err(CubeError::AggPanicked { message, .. }) => {
                         assert!(message.contains("morsel down"), "{alg:?}: {message}");
-                    }
-                    other => panic!("{alg:?} Panic: {other:?}"),
-                }
-            }
-        });
-    }
-
-    /// The radix scatter/aggregate loops sit on their own failpoint.
-    /// Grid keys are narrow, so radix must be forced — and both fault
-    /// flavors must surface as typed errors carrying partial stats that
-    /// prove the radix path (not the plain morsel scan) was running.
-    #[test]
-    fn radix_partition_site_fires_when_radix_is_forced() {
-        let t = grid(16, 8);
-        let run = |alg: Algorithm| {
-            CubeQuery::new()
-                .dimensions(xy_dims())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .radix(true)
-                .cube_with_stats(&t)
-        };
-        silent_panics(|| {
-            let _cleanup = Disarm;
-            for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
-                // Unfaulted first: the forced radix path must agree with
-                // the default plan and report its partition count.
-                let (table, stats) = run(alg).unwrap();
-                let (want, _) = CubeQuery::new()
-                    .dimensions(xy_dims())
-                    .aggregate(sum_units())
-                    .algorithm(alg)
-                    .cube_with_stats(&t)
-                    .unwrap();
-                assert_eq!(table.rows(), want.rows(), "{alg:?}: radix changed cells");
-                assert!(stats.radix_partitions > 0, "{alg:?}: {stats:?}");
-
-                arm("vectorized::radix_partition", Fault::TripBudget);
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::ResourceExhausted { stats, .. }) => {
-                        assert_eq!(stats.vectorized_kernels_used, 1, "{alg:?}");
-                        assert!(
-                            stats.radix_partitions > 0,
-                            "{alg:?}: fault must have fired inside the radix build"
-                        );
-                    }
-                    other => panic!("{alg:?} TripBudget: {other:?}"),
-                }
-
-                arm(
-                    "vectorized::radix_partition",
-                    Fault::Panic("radix down".into()),
-                );
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::AggPanicked { message, .. }) => {
-                        assert!(message.contains("radix down"), "{alg:?}: {message}");
-                    }
-                    other => panic!("{alg:?} Panic: {other:?}"),
-                }
-            }
-        });
-    }
-
-    /// The RLE run-fold scan sits on its own failpoint; grid keys have
-    /// run length 1, so the scan must be forced. Fault flavors plus a
-    /// real cell budget and cancellation all unwind with typed errors.
-    #[test]
-    fn rle_run_site_fires_when_rle_is_forced() {
-        let t = grid(16, 8);
-        let run = |alg: Algorithm| {
-            CubeQuery::new()
-                .dimensions(xy_dims())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .rle(true)
-                .cube_with_stats(&t)
-        };
-        silent_panics(|| {
-            let _cleanup = Disarm;
-            for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
-                let (table, stats) = run(alg).unwrap();
-                let (want, _) = CubeQuery::new()
-                    .dimensions(xy_dims())
-                    .aggregate(sum_units())
-                    .algorithm(alg)
-                    .cube_with_stats(&t)
-                    .unwrap();
-                assert_eq!(table.rows(), want.rows(), "{alg:?}: rle changed cells");
-                assert!(stats.rle_runs > 0, "{alg:?}: {stats:?}");
-
-                arm("vectorized::rle_run", Fault::TripBudget);
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::ResourceExhausted { stats, .. }) => {
-                        assert_eq!(stats.vectorized_kernels_used, 1, "{alg:?}");
-                    }
-                    other => panic!("{alg:?} TripBudget: {other:?}"),
-                }
-
-                arm("vectorized::rle_run", Fault::Panic("run down".into()));
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::AggPanicked { message, .. }) => {
-                        assert!(message.contains("run down"), "{alg:?}: {message}");
                     }
                     other => panic!("{alg:?} Panic: {other:?}"),
                 }

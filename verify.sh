@@ -34,7 +34,9 @@ if [ "${LINT_NIGHTLY:-0}" = "1" ]; then
 fi
 
 echo "== fault-injection suite (--features faults) =="
-cargo test -q --features faults --test governance
+# The fault registry is process-global: a fault armed by one test fires in
+# any query another test runs at the same time, so the suite runs serially.
+cargo test -q --features faults --test governance -- --test-threads=1
 
 echo "== cube_bench smoke (vectorized + encoded workloads wire up) =="
 cargo run -q --release -p dc-bench --bin cube_bench -- --smoke
@@ -47,6 +49,9 @@ cargo run -q --release -p dc-bench --bin cube_bench -- --cache-smoke
 
 echo "== ingest smoke (batched INSERT must amortize >= 5x over row-at-a-time) =="
 cargo run -q --release -p dc-bench --bin cube_bench -- --ingest-smoke
+
+echo "== cubebench determinism and output checks =="
+cargo test --release --offline --manifest-path cubebench/Cargo.toml
 
 echo "== paper_tables vs golden =="
 cargo run -q --release -p dc-bench --bin paper_tables > /tmp/paper_tables_actual.txt
